@@ -89,10 +89,7 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
     );
     let mgr = spawn_manager(kernel.machine(), "slow", SlowManager { delay });
     let object = kernel.object_for_port(mgr.port(), total * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults are on by default")
-        .clone();
+    let engine = kernel.fault_engine().clone();
     let policy = FaultPolicy::trusting();
 
     let start = wall::now();

@@ -45,7 +45,7 @@ fn unpack(msg: &Message) -> Option<(Vec<&str>, Vec<u64>)> {
 // ----- host_statistics -----
 
 /// Everything a host knows about itself: counters, latency histograms,
-/// trace-ring health, and the in-flight chain count.
+/// trace-ring health, and the in-flight fault count.
 #[derive(Clone, Debug)]
 pub struct HostStatistics {
     /// Name of the serving host.
@@ -54,7 +54,8 @@ pub struct HostStatistics {
     pub now_ns: u64,
     /// Trace events lost to ring overflow on the serving host.
     pub trace_dropped: u64,
-    /// Causal chains in flight (begun, not yet resolved) at capture.
+    /// Faults in flight at capture: the fault engine's parked
+    /// continuations, each awaiting a pager reply or an unlock.
     pub in_flight: u64,
     /// Every named counter with its value, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -63,13 +64,14 @@ pub struct HostStatistics {
 }
 
 impl HostStatistics {
-    /// Captures the serving side's snapshot.
-    pub fn capture(machine: &Machine) -> Self {
+    /// Captures the serving side's snapshot, with `in_flight` parked
+    /// faults.
+    pub fn capture(machine: &Machine, in_flight: u64) -> Self {
         HostStatistics {
             host: machine.host().to_string(),
             now_ns: machine.clock.now_ns(),
             trace_dropped: machine.trace.dropped(),
-            in_flight: machine.flight.len() as u64,
+            in_flight,
             counters: machine
                 .stats
                 .snapshot()
@@ -516,8 +518,7 @@ mod tests {
         m.stats.add("disk.reads", 3);
         m.latency.record("vm.fault_to_resolution", 1000);
         m.latency.record("vm.fault_to_resolution", 2_000_000);
-        m.flight.begin(9, "vm.fault", 0);
-        let snap = HostStatistics::capture(&m);
+        let snap = HostStatistics::capture(&m, 1);
         let decoded = HostStatistics::decode(&snap.encode()).expect("decodes");
         assert_eq!(decoded.host, "local");
         assert_eq!(decoded.counter("vm.faults"), 17);

@@ -24,7 +24,7 @@ use machvm::{
     PhysicalMemory, VmMap, VmObject, VmProt,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -53,22 +53,19 @@ pub struct KernelConfig {
     /// Whether to run the background pageout daemon that keeps the free
     /// queue primed (Section 5.4's queue maintenance).
     pub pageout_daemon: bool,
-    /// Whether to run the stall watchdog that flags in-flight causal
-    /// chains (faults awaiting `pager_data_provided`) that stop making
-    /// progress.
+    /// Whether to run the stall watchdog that flags faults awaiting
+    /// `pager_data_provided` (the fault engine's parked continuations)
+    /// that stop making progress.
     pub watchdog: bool,
-    /// Simulated time an in-flight chain may age before the watchdog
+    /// Simulated time a parked fault may age before the watchdog
     /// declares it stalled.
     pub watchdog_stall_ns: u64,
     /// NUMA memory placement: node count and policies (single node, no
     /// policies by default).
     pub numa: NumaConfig,
-    /// Whether to run the continuation-based asynchronous fault engine:
-    /// faults that miss park their state in a bounded table instead of
-    /// blocking a thread, and pager requests batch per (pager, object).
-    pub async_faults: bool,
-    /// Bound on simultaneously parked fault continuations (the
-    /// outstanding-fault budget); submitters briefly block when full.
+    /// Bound on simultaneously parked fault continuations in the
+    /// continuation-based fault engine (the outstanding-fault budget);
+    /// submitters briefly block when full.
     pub fault_table_capacity: usize,
     /// Per-pager cap on requested-but-unanswered pages; request runs
     /// beyond it are deferred inside the kernel until completions drain.
@@ -99,7 +96,7 @@ pub const DEFAULT_TIME_SLICE_NS: u64 = 2_000_000;
 /// Watchdog poll interval (wall clock).
 const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(5);
 
-/// Consecutive watchdog scans an in-flight chain must survive before the
+/// Consecutive watchdog scans a parked fault must survive before the
 /// sim-clock deadline is even considered (~300 ms of wall time). The
 /// debounce is what makes the watchdog sound on a *shared* simulated
 /// clock: a busy host charges everyone's work to one clock, so sim-elapsed
@@ -108,6 +105,9 @@ const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(5);
 /// Healthy fault chains resolve in wall-microseconds; only a genuinely
 /// blocked chain is still in the table after this many scans.
 const WATCHDOG_MIN_SCANS: u32 = 60;
+
+/// Black-box reports the kernel retains; the oldest is dropped first.
+const WATCHDOG_REPORTS: usize = 8;
 
 /// Trace-ring tail length included in a watchdog black-box report.
 const BLACK_BOX_EVENTS: usize = 32;
@@ -126,7 +126,6 @@ impl Default for KernelConfig {
             watchdog: true,
             watchdog_stall_ns: DEFAULT_WATCHDOG_STALL_NS,
             numa: NumaConfig::single(),
-            async_faults: true,
             fault_table_capacity: 4096,
             pager_inflight_pages: 1024,
             sched_cpus: 4,
@@ -183,8 +182,10 @@ pub struct Kernel {
     host_service: Mutex<Option<JoinHandle<()>>>,
     watchdog: Mutex<Option<JoinHandle<()>>>,
     watchdog_stop: Arc<std::sync::atomic::AtomicBool>,
-    /// The continuation-based async fault engine, when enabled.
-    fault_engine: Option<Arc<FaultEngine>>,
+    /// Black-box reports filed by the watchdog, oldest first.
+    watchdog_reports: Arc<Mutex<VecDeque<String>>>,
+    /// The continuation-based async fault engine every fault goes through.
+    fault_engine: Arc<FaultEngine>,
     /// The per-CPU run-queue scheduler every task thread runs under.
     scheduler: Arc<machsched::Scheduler>,
     tasks: TaskRegistry,
@@ -293,19 +294,14 @@ impl Kernel {
         // `resolve_page` miss parks in its bounded table instead of
         // blocking the faulting thread, and pager requests batch per
         // (pager, object) over `send_many`.
-        let fault_engine = if config.async_faults {
-            let engine = FaultEngine::start(
-                phys.clone(),
-                FaultEngineConfig {
-                    capacity: config.fault_table_capacity.max(1),
-                    pager_inflight_pages: config.pager_inflight_pages.max(1),
-                },
-            );
-            phys.set_fault_engine(&engine);
-            Some(engine)
-        } else {
-            None
-        };
+        let fault_engine = FaultEngine::start(
+            phys.clone(),
+            FaultEngineConfig {
+                capacity: config.fault_table_capacity.max(1),
+                pager_inflight_pages: config.pager_inflight_pages.max(1),
+            },
+        );
+        phys.set_fault_engine(&fault_engine);
 
         // Queue-depth and occupancy gauges, sampled once per fault-engine
         // tick and ring-buffered for the Chrome-trace and Prometheus
@@ -331,18 +327,16 @@ impl Kernel {
                 .register("gauge.ipc.kernel_port_depth", move || {
                     dp_request_depth.queued() as u64
                 });
-            if let Some(engine) = &fault_engine {
-                let weak = Arc::downgrade(engine);
-                machine.gauges.register("gauge.fault.outstanding", move || {
-                    weak.upgrade().map_or(0, |e| e.outstanding() as u64)
+            let weak = Arc::downgrade(&fault_engine);
+            machine.gauges.register("gauge.fault.outstanding", move || {
+                weak.upgrade().map_or(0, |e| e.outstanding() as u64)
+            });
+            let weak = Arc::downgrade(&fault_engine);
+            machine
+                .gauges
+                .register("gauge.pager.inflight_pages", move || {
+                    weak.upgrade().map_or(0, |e| e.inflight_pages() as u64)
                 });
-                let weak = Arc::downgrade(engine);
-                machine
-                    .gauges
-                    .register("gauge.pager.inflight_pages", move || {
-                        weak.upgrade().map_or(0, |e| e.inflight_pages() as u64)
-                    });
-            }
             if phys.nodes() > 1 {
                 for node in 0..phys.nodes() {
                     let weak = Arc::downgrade(&phys);
@@ -390,7 +384,8 @@ impl Kernel {
             host_service: Mutex::new(None),
             watchdog: Mutex::new(None),
             watchdog_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            fault_engine,
+            watchdog_reports: Arc::new(Mutex::new(VecDeque::new())),
+            fault_engine: fault_engine.clone(),
             scheduler,
             tasks: tasks.clone(),
             next_node: std::sync::atomic::AtomicUsize::new(0),
@@ -400,9 +395,10 @@ impl Kernel {
         {
             let machine = machine.clone();
             let phys = phys.clone();
+            let engine = fault_engine.clone();
             let thread = std::thread::Builder::new()
                 .name("kernel-host".into())
-                .spawn(move || Self::host_loop(host_space, machine, phys, tasks))
+                .spawn(move || Self::host_loop(host_space, machine, phys, engine, tasks))
                 .expect("spawn kernel host loop");
             *kernel.host_service.lock() = Some(thread);
         }
@@ -411,11 +407,14 @@ impl Kernel {
         if config.watchdog {
             let machine = machine.clone();
             let phys = phys.clone();
+            let reports = kernel.watchdog_reports.clone();
             let stop = kernel.watchdog_stop.clone();
             let stall_ns = config.watchdog_stall_ns.max(1);
             let thread = std::thread::Builder::new()
                 .name("kernel-watchdog".into())
-                .spawn(move || Self::watchdog_loop(machine, phys, stop, stall_ns))
+                .spawn(move || {
+                    Self::watchdog_loop(machine, phys, fault_engine, reports, stop, stall_ns)
+                })
                 .expect("spawn kernel watchdog");
             *kernel.watchdog.lock() = Some(thread);
         }
@@ -583,6 +582,7 @@ impl Kernel {
         space: Arc<PortSpace>,
         machine: Machine,
         phys: Arc<PhysicalMemory>,
+        engine: Arc<FaultEngine>,
         tasks: TaskRegistry,
     ) {
         'host: loop {
@@ -591,7 +591,9 @@ impl Kernel {
             };
             for msg in batch {
                 let reply = match msg.id {
-                    proto::HOST_STATISTICS => HostStatistics::capture(&machine).encode(),
+                    proto::HOST_STATISTICS => {
+                        HostStatistics::capture(&machine, engine.outstanding() as u64).encode()
+                    }
                     proto::HOST_VM_STATISTICS => {
                         VmStatisticsSnapshot::capture(&machine, &phys).encode()
                     }
@@ -653,43 +655,43 @@ impl Kernel {
         }
     }
 
-    /// The stall watchdog: scans the in-flight chain table and flags
-    /// chains that stop making progress, exactly once per chain.
+    /// The stall watchdog: scans the fault engine's parked continuations
+    /// (the faults awaiting `pager_data_provided`) and flags chains that
+    /// stop making progress, exactly once per chain.
     ///
     /// Detection is two-stage. First a wall-clock debounce: the chain must
-    /// survive [`WATCHDOG_MIN_SCANS`] consecutive scans, which no healthy
-    /// fault does (they resolve in wall-microseconds). Then the simulated
-    /// deadline: if the debounced chain's host clock has not yet aged past
-    /// `stall_ns`, the watchdog advances it there — modeling the hardware
-    /// interval timer that fires regardless of how wedged the system is —
-    /// and flags the chain on a later scan. Healthy runs stay
+    /// stay parked for [`WATCHDOG_MIN_SCANS`] consecutive scans, which no
+    /// healthy fault does (they resolve in wall-microseconds). Then the
+    /// simulated deadline: if the debounced chain's host clock has not yet
+    /// aged past `stall_ns`, the watchdog advances it there — modeling the
+    /// hardware interval timer that fires regardless of how wedged the
+    /// system is — and flags the chain on a later scan. Healthy runs stay
     /// deterministic because the advance never happens for them.
     fn watchdog_loop(
         machine: Machine,
         phys: Arc<PhysicalMemory>,
+        engine: Arc<FaultEngine>,
+        reports: Arc<Mutex<VecDeque<String>>>,
         stop: Arc<std::sync::atomic::AtomicBool>,
         stall_ns: u64,
     ) {
+        let mut scan = StallScan::default();
         while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-            for chain in machine.flight.tick() {
-                if chain.flagged || chain.scans < WATCHDOG_MIN_SCANS {
-                    continue;
-                }
-                let deadline = chain.started_ns.saturating_add(stall_ns);
+            for (cid, started_ns) in scan.observe(&engine.parked()) {
+                let deadline = started_ns.saturating_add(stall_ns);
                 if machine.clock.now_ns() < deadline {
                     machine.clock.advance_to(deadline);
                     continue;
                 }
-                if machine.flight.flag(chain.cid) {
-                    machine.stats.incr(stat_keys::WATCHDOG_STALLS);
-                    machine.trace_event_with(
-                        "watchdog",
-                        EventKind::WatchdogStall,
-                        CorrelationId::from_raw(chain.cid),
-                    );
-                    let report = Self::black_box_report(&machine, &phys, &chain, stall_ns);
-                    machine.flight.push_report(report);
-                }
+                scan.flagged.insert(cid);
+                machine.stats.incr(stat_keys::WATCHDOG_STALLS);
+                machine.trace_event_with(
+                    "watchdog",
+                    EventKind::WatchdogStall,
+                    CorrelationId::from_raw(cid),
+                );
+                let report = Self::black_box_report(&machine, &phys, cid, started_ns, stall_ns);
+                file_report(&reports, report);
             }
             machsim::wall::sleep(WATCHDOG_POLL);
         }
@@ -701,27 +703,25 @@ impl Kernel {
     fn black_box_report(
         machine: &Machine,
         phys: &PhysicalMemory,
-        chain: &machsim::InFlightChain,
+        cid: u64,
+        started_ns: u64,
         stall_ns: u64,
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "== watchdog stall: cid#{} ({}) on host {} ==",
-            chain.cid,
-            chain.actor,
+            "== watchdog stall: cid#{cid} (vm.fault) on host {} ==",
             machine.host()
         );
         let _ = writeln!(
             out,
-            "started {} ns, now {} ns, threshold {} ns",
-            chain.started_ns,
+            "started {started_ns} ns, now {} ns, threshold {} ns",
             machine.clock.now_ns(),
             stall_ns
         );
         out.push_str("-- chain timeline --\n");
-        let hops = CorrelationId::from_raw(chain.cid)
+        let hops = CorrelationId::from_raw(cid)
             .map(|cid| machine.trace.chain(cid))
             .unwrap_or_default();
         if hops.is_empty() {
@@ -776,9 +776,10 @@ impl Kernel {
             .push((name.to_string(), Arc::downgrade(map)));
     }
 
-    /// Black-box reports filed by the stall watchdog, oldest first.
+    /// Black-box reports filed by the stall watchdog, oldest first (the
+    /// last [`WATCHDOG_REPORTS`] of them).
     pub fn watchdog_reports(&self) -> Vec<String> {
-        self.machine.flight.reports()
+        self.watchdog_reports.lock().iter().cloned().collect()
     }
 
     /// The machine this kernel runs on.
@@ -801,9 +802,9 @@ impl Kernel {
         self.fault_policy
     }
 
-    /// The continuation-based async fault engine, when enabled.
-    pub fn fault_engine(&self) -> Option<&Arc<FaultEngine>> {
-        self.fault_engine.as_ref()
+    /// The continuation-based async fault engine every fault goes through.
+    pub fn fault_engine(&self) -> &Arc<FaultEngine> {
+        &self.fault_engine
     }
 
     /// The per-CPU run-queue scheduler task threads run under.
@@ -899,6 +900,46 @@ impl Kernel {
     }
 }
 
+/// The stall watchdog's debounce state over successive snapshots of the
+/// fault engine's parked table.
+#[derive(Default)]
+struct StallScan {
+    /// Consecutive scans each parked cid has been present in; a cid that
+    /// leaves the table (resolved, timed out, or resumed) starts over.
+    scans: HashMap<u64, u32>,
+    /// Cids already flagged, so each chain is flagged exactly once. It
+    /// grows by one entry per stall, as `watchdog.stalls` does.
+    flagged: HashSet<u64>,
+}
+
+impl StallScan {
+    /// Folds in one `(cid, started_ns)` snapshot and returns the chains
+    /// that have now been parked for [`WATCHDOG_MIN_SCANS`] consecutive
+    /// scans and are not yet flagged, in snapshot (oldest-first) order.
+    fn observe(&mut self, parked: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let mut scans = HashMap::with_capacity(parked.len());
+        let mut due = Vec::new();
+        for &(cid, started_ns) in parked {
+            let n = self.scans.get(&cid).map_or(1, |n| n + 1);
+            scans.insert(cid, n);
+            if n >= WATCHDOG_MIN_SCANS && !self.flagged.contains(&cid) {
+                due.push((cid, started_ns));
+            }
+        }
+        self.scans = scans;
+        due
+    }
+}
+
+/// Files a black-box report, dropping the oldest past [`WATCHDOG_REPORTS`].
+fn file_report(reports: &Mutex<VecDeque<String>>, report: String) {
+    let mut r = reports.lock();
+    if r.len() >= WATCHDOG_REPORTS {
+        r.pop_front();
+    }
+    r.push_back(report);
+}
+
 /// How long `Kernel::Drop` waits for the scheduler's workers before
 /// concluding one is wedged on a fault ticket that will never resolve.
 const SHUTDOWN_QUIESCE: std::time::Duration = std::time::Duration::from_millis(500);
@@ -922,16 +963,12 @@ impl Drop for Kernel {
         // fulfills with ObjectDestroyed, unblocking its worker) and the
         // join proceeds.
         let mut quiesced = self.scheduler.quiesce(SHUTDOWN_QUIESCE);
-        if !quiesced {
-            if let Some(engine) = &self.fault_engine {
-                for _ in 0..SHUTDOWN_DRAIN_ROUNDS {
-                    engine.drain_parked();
-                    quiesced = self.scheduler.quiesce(SHUTDOWN_RETRY);
-                    if quiesced {
-                        break;
-                    }
-                }
+        for _ in 0..SHUTDOWN_DRAIN_ROUNDS {
+            if quiesced {
+                break;
             }
+            self.fault_engine.drain_parked();
+            quiesced = self.scheduler.quiesce(SHUTDOWN_RETRY);
         }
         if quiesced {
             self.scheduler.shutdown();
@@ -948,14 +985,12 @@ impl Drop for Kernel {
         // Stop the fault engine before the service loop: its drain errors
         // every parked fault (waking their tickets), and late submissions
         // fall back to the synchronous driver.
-        if let Some(engine) = &self.fault_engine {
-            engine.shutdown();
-            debug_assert_eq!(
-                engine.outstanding(),
-                0,
-                "fault engine still holds parked continuations after its shutdown drain"
-            );
-        }
+        self.fault_engine.shutdown();
+        debug_assert_eq!(
+            self.fault_engine.outstanding(),
+            0,
+            "fault engine still holds parked continuations after its shutdown drain"
+        );
         self.daemon_stop
             .store(true, std::sync::atomic::Ordering::Relaxed);
         if let Some(t) = self.daemon.lock().take() {
@@ -1012,6 +1047,51 @@ mod tests {
     }
 
     #[test]
+    fn stall_scan_flags_a_parked_chain_exactly_once() {
+        let mut scan = StallScan::default();
+        let parked = [(5, 0)];
+        for _ in 1..WATCHDOG_MIN_SCANS {
+            assert!(scan.observe(&parked).is_empty(), "still debouncing");
+        }
+        assert_eq!(scan.observe(&parked), vec![(5, 0)]);
+        scan.flagged.insert(5);
+        for _ in 0..WATCHDOG_MIN_SCANS {
+            assert!(scan.observe(&parked).is_empty(), "second flag suppressed");
+        }
+        // A chain that leaves the table restarts its debounce.
+        scan.observe(&[]);
+        let other = [(6, 0)];
+        for _ in 1..WATCHDOG_MIN_SCANS {
+            assert!(scan.observe(&other).is_empty());
+        }
+        assert_eq!(scan.observe(&other), vec![(6, 0)]);
+    }
+
+    #[test]
+    fn stall_scan_returns_due_chains_oldest_first() {
+        let mut scan = StallScan::default();
+        // The engine's snapshot is oldest first; the scan keeps its order.
+        let parked = [(9, 100), (7, 500)];
+        let mut due = Vec::new();
+        for _ in 0..WATCHDOG_MIN_SCANS {
+            due = scan.observe(&parked);
+        }
+        assert_eq!(due, vec![(9, 100), (7, 500)]);
+    }
+
+    #[test]
+    fn watchdog_report_ring_keeps_the_last_eight() {
+        let reports = Mutex::new(VecDeque::new());
+        for i in 0..20 {
+            file_report(&reports, format!("report {i}"));
+        }
+        let r = reports.lock();
+        assert_eq!(r.len(), WATCHDOG_REPORTS);
+        assert_eq!(r.front().map(String::as_str), Some("report 12"));
+        assert_eq!(r.back().map(String::as_str), Some("report 19"));
+    }
+
+    #[test]
     fn drop_unwedges_worker_blocked_on_silent_pager() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1042,7 +1122,7 @@ mod tests {
         });
 
         // The fault must actually park before we start tearing down.
-        let engine = k.fault_engine().expect("async faults on").clone();
+        let engine = k.fault_engine().clone();
         assert!(
             machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || engine
                 .outstanding()

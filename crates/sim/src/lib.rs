@@ -19,7 +19,6 @@
 pub mod clock;
 pub mod cost;
 pub mod export;
-pub mod flight;
 pub mod gauge;
 pub mod lockdep;
 pub mod machine;
@@ -32,7 +31,6 @@ pub mod wall;
 
 pub use clock::SimClock;
 pub use cost::CostModel;
-pub use flight::{FlightRecorder, InFlightChain};
 pub use gauge::{GaugeRegistry, GaugeSeries};
 pub use machine::{Machine, SpanGuard};
 pub use rng::SplitMix64;

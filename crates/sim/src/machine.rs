@@ -7,7 +7,6 @@
 
 use crate::clock::SimClock;
 use crate::cost::CostModel;
-use crate::flight::FlightRecorder;
 use crate::gauge::GaugeRegistry;
 use crate::stats::{keys, HotCounters, StatsRegistry};
 use crate::topology::Topology;
@@ -33,8 +32,6 @@ pub struct Machine {
     /// Pre-resolved counters for the fault/IPC/disk hot paths, backed by
     /// the same atomics as `stats` (no per-increment name lookup).
     pub hot: Arc<HotCounters>,
-    /// In-flight causal-chain table scanned by the stall watchdog.
-    pub flight: Arc<FlightRecorder>,
     /// Sampled queue-depth/occupancy gauges of this host.
     pub gauges: Arc<GaugeRegistry>,
     /// Host name shown in trace events ("local" unless on a fabric).
@@ -58,7 +55,6 @@ impl Machine {
             trace: Arc::new(TraceBuffer::default()),
             latency: LatencyRegistry::new(),
             hot,
-            flight: Arc::new(FlightRecorder::new()),
             gauges: Arc::new(GaugeRegistry::new()),
             host: Arc::from(host),
         }

@@ -36,10 +36,12 @@
 //! [`CorrelationId`] is allocated at submit, stamped into every batched
 //! request run (so the manager's reply still correlates), carried on the
 //! parked continuation, and re-entered as the trace scope whenever the
-//! completion loop steps it. The flight recorder `begin`s at submit and
-//! `end`s at completion — a fault that times out *cleanly* (its policy
-//! deadline fires) ends its chain without being counted as a watchdog
-//! stall, while a genuinely wedged fault is still caught and flagged.
+//! completion loop steps it. The parked table is also the stall
+//! watchdog's view of faults awaiting `pager_data_provided`
+//! ([`FaultEngine::parked`]): a fault that times out *cleanly* (its
+//! policy deadline fires) leaves the table without being counted as a
+//! watchdog stall, while a genuinely wedged fault stays parked and is
+//! flagged.
 //!
 //! # Locking
 //!
@@ -65,8 +67,8 @@
 //! and a deep backlog costs one probe per interval, not a re-step.
 
 use crate::fault::{
-    fault_step, handle_timeout, resolve_page_sync, FaultPolicy, FaultResult, FaultState, FaultStep,
-    FaultWait, RequestSink, WaitKind,
+    fault_step, handle_timeout, resolve_page_sync, FaultChain, FaultPolicy, FaultResult,
+    FaultState, FaultStep, FaultWait, RequestSink, WaitKind,
 };
 use crate::lockdep::{ClassMutex, ClassMutexGuard, LockClass};
 use crate::object::{ObjectId, PagerBackend, PagerRequest, VmObject};
@@ -75,7 +77,7 @@ use crate::resident::{PageLookup, PhysicalMemory};
 use crate::types::{VmError, VmProt};
 use machsim::stats::keys as stat_keys;
 use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope, SpanScope};
-use machsim::{wall, EventKind, Machine};
+use machsim::{wall, Machine};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,18 +126,16 @@ pub struct FaultTicket {
 struct TicketInner {
     slot: Mutex<Option<Result<FaultResult, VmError>>>,
     done: Condvar,
-    cid: CorrelationId,
-    root_span: u64,
+    chain: FaultChain,
 }
 
 impl FaultTicket {
-    fn new(cid: CorrelationId, root_span: u64) -> Self {
+    fn new(chain: FaultChain) -> Self {
         FaultTicket {
             inner: Arc::new(TicketInner {
                 slot: Mutex::new(None),
                 done: Condvar::new(),
-                cid,
-                root_span,
+                chain,
             }),
         }
     }
@@ -143,13 +143,13 @@ impl FaultTicket {
     /// The correlation id tying this fault's trace events, pager requests
     /// and resolution into one chain.
     pub fn correlation(&self) -> CorrelationId {
-        self.inner.cid
+        self.inner.chain.cid
     }
 
     /// The root span id of this fault's chain (the `fault.submit` span),
     /// for adopting the chain context after [`FaultTicket::wait`].
     pub fn span(&self) -> u64 {
-        self.inner.root_span
+        self.inner.chain.root_span
     }
 
     /// Whether the fault has completed (without blocking).
@@ -201,11 +201,10 @@ impl PendingRun {
 }
 
 /// A parked fault: the captured state machine plus resume bookkeeping.
+/// Its chain (cid, root span, start time) rides on the ticket.
 struct Continuation {
     state: FaultState,
     wait: FaultWait,
-    cid: CorrelationId,
-    started_ns: u64,
     parked_ns: u64,
     /// Fires when the park has lasted long enough for a defensive
     /// recheck.
@@ -217,10 +216,6 @@ struct Continuation {
     /// In-flight pages this fault's outstanding run holds against its
     /// pager: `(pager key, pages)`. Returned when the run resolves.
     inflight: Option<(usize, usize)>,
-    /// The fault's root span (`fault.submit`), parent of every phase span
-    /// the chain opens — on this host and, via the stamped requests, on
-    /// the pager side.
-    root_span: u64,
     /// The currently open `fault.parked` span, 0 while running. Closed by
     /// the completion loop when the continuation is taken off the table.
     parked_span: u64,
@@ -387,6 +382,21 @@ impl FaultEngine {
         self.table.lock().conts.len()
     }
 
+    /// The parked continuations as `(raw cid, started_ns)`, oldest first:
+    /// the faults awaiting `pager_data_provided` (or an unlock) that the
+    /// stall watchdog scans.
+    pub fn parked(&self) -> Vec<(u64, u64)> {
+        let mut parked: Vec<(u64, u64)> = self
+            .table
+            .lock()
+            .conts
+            .iter()
+            .map(|(&cid, c)| (cid, c.ticket.inner.chain.started_ns))
+            .collect();
+        parked.sort_by_key(|&(cid, started_ns)| (started_ns, cid));
+        parked
+    }
+
     /// Most continuations ever parked at once.
     pub fn max_outstanding(&self) -> usize {
         self.table.lock().high_water
@@ -426,48 +436,33 @@ impl FaultEngine {
         access: VmProt,
         policy: FaultPolicy,
     ) -> FaultTicket {
-        self.machine
-            .clock
-            .charge(self.machine.cost.fault_overhead_ns);
-        self.machine.hot.vm_faults.incr();
-        let cid = CorrelationId::allocate();
-        let _scope = CorrelationScope::enter(cid);
-        self.machine.trace_event("vm.fault", EventKind::Fault);
-        // The chain root: explicitly parent 0 (the submitting thread may
-        // still carry a previous fault's span context).
-        let root_span = self.machine.span_open_under("fault.submit", 0);
-        let ticket = FaultTicket::new(cid, root_span);
-        let started_ns = self.machine.clock.now_ns();
-        self.machine.flight.begin(cid.raw(), "vm.fault", started_ns);
-
-        if self.stop.load(Ordering::Acquire) {
-            let result = resolve_page_sync(&self.phys, top, offset, access, policy);
-            self.finish(cid, started_ns, &ticket, result);
-            return ticket;
-        }
-
+        let chain = FaultChain::begin(&self.machine);
+        let ticket = FaultTicket::new(chain);
         // Backpressure: take an admission slot before stepping, so a full
         // engine slows admission instead of growing without bound. Gating
         // on `admitted` (not `conts.len()`) means mid-step faults still
         // hold their slot and `max_outstanding <= capacity` exactly.
-        {
+        let admitted = {
             let mut t = self.table.lock();
             while t.admitted >= self.cfg.capacity && !self.stop.load(Ordering::Acquire) {
                 self.machine.stats.incr(stat_keys::VM_ASYNC_BACKPRESSURE);
                 self.work.notify_all();
                 self.space.wait_for(t.inner_mut(), TICK);
             }
-            if self.stop.load(Ordering::Acquire) {
-                drop(t);
-                // Shutdown observed while waiting: resolve synchronously
-                // without taking an admission slot (nobody would return it).
-                let result = resolve_page_sync(&self.phys, top, offset, access, policy);
-                self.finish(cid, started_ns, &ticket, result);
-                return ticket;
+            let running = !self.stop.load(Ordering::Acquire);
+            if running {
+                t.admitted += 1;
             }
-            t.admitted += 1;
+            running
+        };
+        if !admitted {
+            // Stopped (before or while waiting for space): resolve
+            // synchronously without an admission slot (nobody would
+            // return it).
+            let result = resolve_page_sync(&self.phys, &chain, top, offset, access, policy);
+            self.finish(&ticket, result);
+            return ticket;
         }
-
         let cont = Continuation {
             state: FaultState::new(top, offset, access, policy),
             wait: FaultWait {
@@ -475,18 +470,15 @@ impl FaultEngine {
                 offset,
                 kind: WaitKind::Fill,
             },
-            cid,
-            started_ns,
-            parked_ns: started_ns,
+            parked_ns: chain.started_ns,
             stale_at: wall::Deadline::after(STALE_RECHECK),
             deadline: None,
             ticket: ticket.clone(),
             inflight: None,
-            root_span,
             parked_span: 0,
         };
         if let Some(result) = self.step_and_park(cont) {
-            self.finish(cid, started_ns, &ticket, result);
+            self.finish(&ticket, result);
             self.release_admission();
         }
         ticket
@@ -526,8 +518,9 @@ impl FaultEngine {
         self: &Arc<Self>,
         mut cont: Continuation,
     ) -> Option<Result<FaultResult, VmError>> {
-        let _scope = CorrelationScope::enter(cont.cid);
-        let _span = SpanScope::enter(cont.root_span);
+        let chain = cont.ticket.inner.chain;
+        let _scope = CorrelationScope::enter(chain.cid);
+        let _span = SpanScope::enter(chain.root_span);
         // The charge for the run `cont` had outstanding when it parked
         // last. It is returned to the pager's budget unless the fault
         // re-parks on the *same* pending fill without issuing a new
@@ -536,8 +529,8 @@ impl FaultEngine {
         let mut prev_charge = cont.inflight.take();
         loop {
             let mut sink = BatchSink {
-                cid: cont.cid.raw(),
-                root_span: cont.root_span,
+                cid: chain.cid.raw(),
+                root_span: chain.root_span,
                 page_size: self.phys.page_size(),
                 runs: Vec::new(),
             };
@@ -571,8 +564,10 @@ impl FaultEngine {
             cont.stale_at = wall::Deadline::after(STALE_RECHECK);
             cont.deadline = cont.state.policy.pager_timeout.map(wall::Deadline::after);
             self.machine.stats.incr(stat_keys::VM_ASYNC_PARKS);
-            cont.parked_span = self.machine.span_open_under("fault.parked", cont.root_span);
-            let raw = cont.cid.raw();
+            cont.parked_span = self
+                .machine
+                .span_open_under("fault.parked", chain.root_span);
+            let raw = chain.cid.raw();
             t.waiters
                 .entry((wait.object, wait.offset))
                 .or_default()
@@ -719,12 +714,7 @@ impl FaultEngine {
             if c.wait.kind == WaitKind::Fill {
                 c.state.cancel_claims(&self.phys, c.wait);
             }
-            self.finish(
-                c.cid,
-                c.started_ns,
-                &c.ticket,
-                Err(VmError::ObjectDestroyed),
-            );
+            self.finish(&c.ticket, Err(VmError::ObjectDestroyed));
         }
         self.space.notify_all();
     }
@@ -822,28 +812,24 @@ impl FaultEngine {
                 trace_keys::PARK_TO_RESUME,
                 now.saturating_sub(cont.parked_ns),
             );
+            let cid = cont.ticket.correlation();
             if cont.parked_span != 0 {
                 self.machine
-                    .span_close_with("fault.parked", cont.parked_span, Some(cont.cid));
+                    .span_close_with("fault.parked", cont.parked_span, Some(cid));
                 cont.parked_span = 0;
             }
             match wake {
                 Wake::Event => {
                     self.machine.stats.incr(stat_keys::VM_ASYNC_RESUMES);
-                    let (cid, started_ns, ticket, root_span) = (
-                        cont.cid,
-                        cont.started_ns,
-                        cont.ticket.clone(),
-                        cont.root_span,
-                    );
-                    let resume = self
-                        .machine
-                        .span_open_with("fault.resume", root_span, Some(cid));
+                    let ticket = cont.ticket.clone();
+                    let resume =
+                        self.machine
+                            .span_open_with("fault.resume", ticket.span(), Some(cid));
                     let done = self.step_and_park(cont);
                     self.machine
                         .span_close_with("fault.resume", resume, Some(cid));
                     if let Some(result) = done {
-                        self.finish(cid, started_ns, &ticket, result);
+                        self.finish(&ticket, result);
                         self.release_admission();
                     }
                 }
@@ -853,14 +839,14 @@ impl FaultEngine {
                     if cont.wait.kind == WaitKind::Fill {
                         cont.state.cancel_claims(&self.phys, cont.wait);
                     }
-                    let _scope = CorrelationScope::enter(cont.cid);
+                    let _scope = CorrelationScope::enter(cid);
                     let result = handle_timeout(
                         &self.phys,
                         &cont.state.top,
                         cont.state.offset,
                         cont.state.policy,
                     );
-                    self.finish(cont.cid, cont.started_ns, &cont.ticket, result);
+                    self.finish(&cont.ticket, result);
                     self.release_admission();
                 }
                 Wake::PagerDead => {
@@ -869,12 +855,7 @@ impl FaultEngine {
                     if cont.wait.kind == WaitKind::Fill {
                         cont.state.cancel_claims(&self.phys, cont.wait);
                     }
-                    self.finish(
-                        cont.cid,
-                        cont.started_ns,
-                        &cont.ticket,
-                        Err(VmError::ObjectDestroyed),
-                    );
+                    self.finish(&cont.ticket, Err(VmError::ObjectDestroyed));
                     self.release_admission();
                 }
             }
@@ -928,9 +909,6 @@ impl FaultEngine {
             .span_close_with("pager.flush", flush_span, None);
     }
 
-    /// Completes a fault: ends its flight-recorder chain, fulfills the
-    /// ticket, and emits the resolution trace/latency with the fault's
-    /// own correlation (the completion loop is not in the fault's scope).
     /// Releases the fill window of a run that was never sent to its
     /// pager: the pending entries would otherwise strand later faults.
     /// Cancelling is idempotent, so racing an install is safe.
@@ -941,70 +919,41 @@ impl FaultEngine {
         }
     }
 
-    fn finish(
-        &self,
-        cid: CorrelationId,
-        started_ns: u64,
-        ticket: &FaultTicket,
-        result: Result<FaultResult, VmError>,
-    ) {
+    /// Completes a fault: releases its unsent runs, ends its chain, and
+    /// fulfills the ticket.
+    fn finish(&self, ticket: &FaultTicket, result: Result<FaultResult, VmError>) {
         // A completing fault may still have queued-but-unsent runs (it
         // resolved by another route, or timed out while deferred): pull
         // them out of the batch queues and release their fill windows.
-        let unsent: Vec<PendingRun> = {
+        let raw = ticket.correlation().raw();
+        let mut unsent: Vec<PendingRun> = Vec::new();
+        {
             let mut t = self.table.lock();
-            let raw = cid.raw();
-            if !t.queued.remove(&raw) {
-                drop(t);
-                return self.finish_tail(cid, started_ns, ticket, result);
-            }
-            let mut purged: Vec<PendingRun> = Vec::new();
-            let mut keep = Vec::with_capacity(t.runs.len());
-            for run in t.runs.drain(..) {
-                if run.correlation == raw {
-                    purged.push(run);
-                } else {
-                    keep.push(run);
+            if t.queued.remove(&raw) {
+                let mut keep = Vec::with_capacity(t.runs.len());
+                for run in t.runs.drain(..) {
+                    if run.correlation == raw {
+                        unsent.push(run);
+                    } else {
+                        keep.push(run);
+                    }
                 }
-            }
-            t.runs = keep;
-            let mut keep_d = VecDeque::with_capacity(t.deferred.len());
-            for run in t.deferred.drain(..) {
-                if run.correlation == raw {
-                    purged.push(run);
-                } else {
-                    keep_d.push_back(run);
+                t.runs = keep;
+                let mut keep_d = VecDeque::with_capacity(t.deferred.len());
+                for run in t.deferred.drain(..) {
+                    if run.correlation == raw {
+                        unsent.push(run);
+                    } else {
+                        keep_d.push_back(run);
+                    }
                 }
+                t.deferred = keep_d;
             }
-            t.deferred = keep_d;
-            purged
-        };
+        }
         for run in &unsent {
             self.cancel_run(run);
         }
-        self.finish_tail(cid, started_ns, ticket, result);
-    }
-
-    fn finish_tail(
-        &self,
-        cid: CorrelationId,
-        started_ns: u64,
-        ticket: &FaultTicket,
-        result: Result<FaultResult, VmError>,
-    ) {
-        self.machine.flight.end(cid.raw());
-        if result.is_ok() {
-            self.machine
-                .trace_event_with("vm.fault", EventKind::Resume, Some(cid));
-            self.machine.latency.record(
-                trace_keys::FAULT_TO_RESOLUTION,
-                self.machine.clock.now_ns().saturating_sub(started_ns),
-            );
-        }
-        // Close the chain root on every exit — Ok, Err, timeout, drain —
-        // so the critical-path analyzer never sees an unclosed root.
-        self.machine
-            .span_close_with("fault.submit", ticket.span(), Some(cid));
+        ticket.inner.chain.end(&self.machine, result.is_ok());
         ticket.fulfill(result);
         self.space.notify_all();
     }
@@ -1014,5 +963,35 @@ impl Drop for FaultEngine {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         self.work.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::object::test_support::RecordingPager;
+
+    #[test]
+    fn parked_snapshot_lists_waiting_faults_oldest_first() {
+        let m = Machine::default_machine();
+        let phys = PhysicalMemory::new(&m, 64 * 4096, 4096, 2);
+        let engine = FaultEngine::start(phys.clone(), FaultEngineConfig::default());
+        // The pager never answers: both faults stay parked.
+        let obj = VmObject::new_with_pager(1 << 20, Arc::new(RecordingPager::default()));
+        let policy = FaultPolicy::trusting();
+        let first = engine.submit(&obj, 0, VmProt::READ, policy);
+        let second = engine.submit(&obj, 4096, VmProt::READ, policy);
+        let parked = engine.parked();
+        assert_eq!(
+            parked,
+            vec![
+                (first.correlation().raw(), first.inner.chain.started_ns),
+                (second.correlation().raw(), second.inner.chain.started_ns),
+            ]
+        );
+        assert!(parked[0].1 < parked[1].1, "oldest first");
+        engine.shutdown();
+        assert!(engine.parked().is_empty());
+        assert_eq!(first.wait().err(), Some(VmError::ObjectDestroyed));
     }
 }

@@ -27,7 +27,7 @@ use crate::resident::{PageLookup, PhysicalMemory};
 use crate::types::{VmError, VmProt};
 use machsim::stats::keys as stat_keys;
 use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope};
-use machsim::EventKind;
+use machsim::{EventKind, Machine};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -409,16 +409,70 @@ pub fn fault_step(
     }
 }
 
+/// One fault's causal chain: correlation id, `fault.submit` root span and
+/// start time. [`FaultChain::begin`] is the one fault prologue and
+/// [`FaultChain::end`] the one epilogue: the engine-less [`resolve_page`],
+/// [`crate::continuation::FaultEngine::submit`] and the engine's stopped
+/// fallback all use both, so each fault is charged, counted, traced and
+/// timed exactly once.
+#[derive(Clone, Copy, Debug)]
+pub struct FaultChain {
+    /// Correlation id of every event, request and reply of the fault.
+    pub cid: CorrelationId,
+    /// The chain's root span (`fault.submit`), parent of every phase
+    /// span the fault opens.
+    pub root_span: u64,
+    /// Simulated time the fault began.
+    pub started_ns: u64,
+}
+
+impl FaultChain {
+    /// Begins a fault: charges the fault overhead, counts `vm.faults`,
+    /// allocates the correlation id, emits the `Fault` event and opens
+    /// the `fault.submit` root span.
+    pub fn begin(machine: &Machine) -> Self {
+        machine.clock.charge(machine.cost.fault_overhead_ns);
+        machine.hot.vm_faults.incr();
+        let cid = CorrelationId::allocate();
+        let _scope = CorrelationScope::enter(cid);
+        machine.trace_event("vm.fault", EventKind::Fault);
+        // Explicit parent 0: the thread may still carry a previous
+        // fault's span context.
+        let root_span = machine.span_open_under("fault.submit", 0);
+        FaultChain {
+            cid,
+            root_span,
+            started_ns: machine.clock.now_ns(),
+        }
+    }
+
+    /// Ends a fault. A resolved fault (`ok`) emits `Resume` and records
+    /// `vm.fault_to_resolution`; every exit — Ok, Err, timeout, drain —
+    /// closes the root span, so the critical-path analyzer never sees an
+    /// unclosed root. Takes the chain's own correlation: the engine's
+    /// completion loop is not in the fault's scope.
+    pub fn end(&self, machine: &Machine, ok: bool) {
+        if ok {
+            machine.trace_event_with("vm.fault", EventKind::Resume, Some(self.cid));
+            machine.latency.record(
+                trace_keys::FAULT_TO_RESOLUTION,
+                machine.clock.now_ns().saturating_sub(self.started_ns),
+            );
+        }
+        machine.span_close_with("fault.submit", self.root_span, Some(self.cid));
+    }
+}
+
 /// Resolves a page fault against `top` at page-aligned `offset`.
 ///
 /// `access` is what the faulting thread is trying to do (already validated
 /// against the map entry's protection by the caller).
 ///
-/// Every fault allocates a fresh [`CorrelationId`] that is installed as
-/// the faulting thread's trace context for the duration of the fault, so
-/// all downstream work — the `pager_data_request` message, the manager's
-/// disk reads, the `pager_data_provided` reply — carries the same id and
-/// forms one inspectable chain in the machine's trace buffer.
+/// Every fault begins a [`FaultChain`] whose [`CorrelationId`] is
+/// installed as the faulting thread's trace context for the duration of
+/// the fault, so all downstream work — the `pager_data_request` message,
+/// the manager's disk reads, the `pager_data_provided` reply — carries the
+/// same id and forms one inspectable chain in the machine's trace buffer.
 ///
 /// When a [`crate::continuation::FaultEngine`] is attached to `phys`, the
 /// fault is submitted there instead: the state machine still runs, but
@@ -442,44 +496,27 @@ pub fn resolve_page(
         machsim::trace::set_current_span(ticket.span());
         return result;
     }
-    let machine = phys.machine().clone();
-    machine.clock.charge(machine.cost.fault_overhead_ns);
-    machine.hot.vm_faults.incr();
-    let cid = CorrelationId::allocate();
-    let _scope = CorrelationScope::enter(cid);
-    machine.trace_event("vm.fault", EventKind::Fault);
-    // Chain root span (explicit parent 0 — the thread may carry a stale
-    // span from a previous fault).
-    let root_span = machine.span_open_under("fault.submit", 0);
-    let _span = machsim::trace::SpanScope::enter(root_span);
-    let started_ns = machine.clock.now_ns();
-    machine.flight.begin(cid.raw(), "vm.fault", started_ns);
-    let result = resolve_page_sync(phys, top, offset, access, policy);
-    // Success *or* failure resolves the chain: only a still-waiting fault
-    // may be flagged by the stall watchdog.
-    machine.flight.end(cid.raw());
-    if result.is_ok() {
-        machine.trace_event("vm.fault", EventKind::Resume);
-        machine.latency.record(
-            trace_keys::FAULT_TO_RESOLUTION,
-            machine.clock.now_ns().saturating_sub(started_ns),
-        );
-    }
-    machine.span_close("fault.submit", root_span);
+    let chain = FaultChain::begin(phys.machine());
+    let result = resolve_page_sync(phys, &chain, top, offset, access, policy);
+    chain.end(phys.machine(), result.is_ok());
     result
 }
 
 /// The synchronous driver: steps the state machine on the calling thread,
 /// blocking on the shard condvars at every park — byte-for-byte the
 /// behavior of the old monolithic fault loop, now expressed over
-/// [`fault_step`] so the async engine shares every transition.
+/// [`fault_step`] so the async engine shares every transition. Steps in
+/// `chain`'s trace scope (correlation id and root span).
 pub(crate) fn resolve_page_sync(
     phys: &PhysicalMemory,
+    chain: &FaultChain,
     top: &Arc<VmObject>,
     offset: u64,
     access: VmProt,
     policy: FaultPolicy,
 ) -> Result<FaultResult, VmError> {
+    let _scope = CorrelationScope::enter(chain.cid);
+    let _span = machsim::trace::SpanScope::enter(chain.root_span);
     let mut st = FaultState::new(top, offset, access, policy);
     let mut sink = ImmediateSink;
     loop {
@@ -538,11 +575,11 @@ pub(crate) fn handle_timeout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::continuation::{FaultEngine, FaultEngineConfig};
     use crate::object::test_support::RecordingPager;
     use crate::object::PagerBackend;
     use machipc::OolBuffer;
     use machsim::stats::keys;
-    use machsim::Machine;
     use parking_lot::Mutex;
 
     fn setup(frames: usize) -> (Machine, Arc<PhysicalMemory>) {
@@ -865,5 +902,82 @@ mod tests {
         let err = resolve_page(&phys, &obj, 4096, VmProt::READ, policy).unwrap_err();
         assert_eq!(err, VmError::Timeout);
         assert_eq!(pager.requests.lock().len(), 2);
+    }
+
+    /// Fault overhead of [`overhead_only`]: the only cost it charges.
+    const OVERHEAD_NS: u64 = 50_000;
+
+    /// Physical memory on a machine whose only nonzero cost is the fault
+    /// overhead, so a fault's clock advance counts its overhead charges.
+    fn overhead_only() -> (Machine, Arc<PhysicalMemory>) {
+        let m = Machine::new(machsim::CostModel {
+            instruction_ns: 0,
+            copy_byte_ns: 0,
+            syscall_ns: 0,
+            map_page_ns: 0,
+            fault_overhead_ns: OVERHEAD_NS,
+            message_ns: 0,
+            handoff_ns: 0,
+            disk_access_ns: 0,
+            disk_byte_ns: 0,
+            net_message_ns: 0,
+            net_byte_ns: 0,
+            ..machsim::CostModel::uma()
+        });
+        let p = PhysicalMemory::new(&m, 64 * 4096, 4096, 2);
+        (m, p)
+    }
+
+    /// One pager-filled fault through each entry — the engine-less
+    /// `resolve_page`, `FaultEngine::submit`, and submit after shutdown
+    /// (the stopped fallback) — runs the prologue and epilogue exactly
+    /// once: one `vm.faults`, one overhead charge, one paired
+    /// `fault.submit` root span, one resolution sample.
+    #[test]
+    fn every_fault_entry_runs_the_prologue_once() {
+        type Entry = fn(&Arc<PhysicalMemory>, &Arc<VmObject>) -> Result<FaultResult, VmError>;
+        let entries: [(&str, Entry); 3] = [
+            ("resolve_page", |phys, obj| {
+                resolve_page(phys, obj, 0, VmProt::READ, FaultPolicy::trusting())
+            }),
+            ("submit", |phys, obj| {
+                let engine = FaultEngine::start(phys.clone(), FaultEngineConfig::default());
+                let result = engine
+                    .submit(obj, 0, VmProt::READ, FaultPolicy::trusting())
+                    .wait();
+                engine.shutdown();
+                result
+            }),
+            ("stopped submit", |phys, obj| {
+                let engine = FaultEngine::start(phys.clone(), FaultEngineConfig::default());
+                engine.shutdown();
+                engine
+                    .submit(obj, 0, VmProt::READ, FaultPolicy::trusting())
+                    .wait()
+            }),
+        ];
+        for (name, fault) in entries {
+            let (m, phys) = overhead_only();
+            let obj = EchoPager::attach(&phys, 0x42, VmProt::NONE);
+            fault(&phys, &obj).expect("the pager fills the page");
+            assert_eq!(m.stats.get(keys::VM_FAULTS), 1, "{name}");
+            assert_eq!(m.clock.now_ns(), OVERHEAD_NS, "{name}");
+            let roots = |close: bool| -> Vec<u64> {
+                m.trace
+                    .snapshot()
+                    .iter()
+                    .filter(|e| match e.kind {
+                        EventKind::SpanOpen(n) => !close && n == "fault.submit",
+                        EventKind::SpanClose(n) => close && n == "fault.submit",
+                        _ => false,
+                    })
+                    .filter_map(|e| e.span.map(|s| s.id))
+                    .collect()
+            };
+            assert_eq!(roots(false).len(), 1, "{name}: one fault.submit root");
+            assert_eq!(roots(true), roots(false), "{name}: the root closes once");
+            let samples = m.latency.get(trace_keys::FAULT_TO_RESOLUTION);
+            assert_eq!(samples.map(|h| h.count()), Some(1), "{name}");
+        }
     }
 }

@@ -11,8 +11,9 @@ use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, Tas
 use machipc::OolBuffer;
 use machnet::Fabric;
 use machsim::stats::keys;
-use machvm::VmProt;
+use machvm::{FaultPolicy, VmError, VmProt};
 use std::sync::Arc;
+use std::time::Duration;
 
 const PAGE: u64 = 4096;
 
@@ -75,6 +76,51 @@ fn host_statistics_reflect_a_known_workload() {
     assert!(prom.contains("vm_faults "));
     assert!(prom.contains("vm_fault_to_resolution_ns_bucket{le="));
     assert!(prom.contains("trace_dropped_events "));
+}
+
+/// A pager that never answers `data_request`.
+struct BlackHolePager;
+
+impl DataManager for BlackHolePager {
+    fn data_request(&mut self, _k: &KernelConn, _object: u64, _offset: u64, _len: u64, _a: VmProt) {
+    }
+}
+
+/// The host's in-flight fault count, fetched over its host port.
+fn in_flight(kernel: &Kernel) -> u64 {
+    query_host_statistics(kernel.host_port())
+        .expect("host_statistics query")
+        .in_flight
+}
+
+#[test]
+fn host_statistics_count_the_parked_fault_until_its_timeout() {
+    let kernel = Kernel::boot(KernelConfig::default());
+    let task = Task::create(&kernel, "parked");
+    task.map()
+        .set_fault_policy(FaultPolicy::abort_after(Duration::from_millis(500)));
+    let mgr = spawn_manager(kernel.machine(), "blackhole", BlackHolePager);
+    let addr = task
+        .vm_allocate_with_pager(None, PAGE, mgr.port(), 0)
+        .expect("map the black-hole object");
+    assert_eq!(in_flight(&kernel), 0);
+
+    let reader = {
+        let task = task.clone();
+        std::thread::spawn(move || task.read_memory(addr, &mut [0u8; 1]))
+    };
+    let parked =
+        machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
+            in_flight(&kernel) == 1
+        });
+    assert!(parked, "the black-hole fault never showed as in flight");
+
+    assert_eq!(reader.join().expect("reader thread"), Err(VmError::Timeout));
+    assert_eq!(
+        in_flight(&kernel),
+        0,
+        "the timed-out fault left the parked table"
+    );
 }
 
 #[test]

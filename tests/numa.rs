@@ -148,7 +148,9 @@ fn multithreaded_numa_stress_keeps_data_coherent() {
     // (first-touch), and a hot region where each thread writes one page
     // first touched elsewhere (migration). Every read checks its bytes;
     // the physical layer's invariants must hold afterwards.
-    let (m, phys, map) = numa_map(NumaConfig::all_policies(NODES), 1024);
+    let numa = NumaConfig::all_policies(NODES);
+    let hot_threshold = numa.hot_threshold;
+    let (m, phys, map) = numa_map(numa, 1024);
     let shared_pages = 8u64;
     let shared = map.allocate(None, shared_pages * PAGE).unwrap();
     let hot = map.allocate(None, 8 * PAGE).unwrap();
@@ -161,7 +163,25 @@ fn multithreaded_numa_stress_keeps_data_coherent() {
         map.access_write(hot + p * PAGE, &vec![1; PAGE as usize])
             .unwrap();
     }
+    // Replicate every shared page on every remote node before the storm,
+    // so thread 0's first write is certain to shoot replicas down.
+    let mut buf = vec![0u8; PAGE as usize];
+    for node in 1..NODES {
+        set_current_node(Some(node));
+        for p in 0..shared_pages {
+            for _ in 0..hot_threshold {
+                map.access_read(shared + p * PAGE, &mut buf)
+                    .expect("warm-up read of a shared page");
+            }
+        }
+    }
     set_current_node(None);
+    assert_eq!(
+        m.stats.get(keys::NUMA_REPLICATIONS),
+        shared_pages * (NODES as u64 - 1),
+        "every shared page replicated on every remote node"
+    );
+    let shootdowns_before = m.stats.get(keys::NUMA_SHOOTDOWNS);
 
     let threads = 8usize;
     let privates: Vec<u64> = (0..threads)
@@ -212,7 +232,10 @@ fn multithreaded_numa_stress_keeps_data_coherent() {
     });
     phys.check_invariants();
     assert!(m.stats.get(keys::NUMA_REPLICATIONS) > 0);
-    assert!(m.stats.get(keys::NUMA_SHOOTDOWNS) > 0);
+    assert!(
+        m.stats.get(keys::NUMA_SHOOTDOWNS) > shootdowns_before,
+        "the storm's writes shot down no replica"
+    );
     // Under `--features lockdep` the storm doubles as a model check of the
     // lock hierarchy: any forbidden nesting panics, and the witness must
     // have order-checked real nested traffic.
